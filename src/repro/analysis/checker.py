@@ -948,6 +948,61 @@ def _fuzz_states(program: Program, entry: int, variant: int,
     return state
 
 
+def _fuzz_slave_views(program: Program, entry: int, variant: int):
+    """A maker of identical deterministic
+    :class:`~repro.mssp.slave.SlaveView`\ s for the slave-mode JIT003
+    differential (views never write architected state, so all of them
+    share one).
+
+    The fuzzed register file of :func:`_fuzz_states` becomes the
+    checkpoint; variants 1 and 2 ship a memory overlay over every other
+    data cell and read architected memory through the flat backend
+    (variant 1) or the dict one; variant 2 also gives each view a
+    history (registers already written or recorded, a store and a first
+    read) so exit recording must filter what is already known.
+    """
+    from repro.machine.state import wrap64
+    from repro.mssp.slave import SlaveView
+    from repro.mssp.task import Checkpoint
+
+    backend = "flat" if variant == 1 else "dict"
+    arch = _fuzz_states(program, entry, variant, backend)
+    cells = sorted(program.memory.items())
+    overlay = {}
+    if variant:
+        overlay = {
+            address: wrap64(value * 7 + variant)
+            for address, value in cells[::2]
+        }
+    checkpoint = Checkpoint(regs=tuple(arch.regs), mem=overlay)
+
+    def make():
+        view = SlaveView(checkpoint, arch, entry)
+        if variant == 2:
+            for reg in range(1, NUM_REGS, 5):
+                view.write_reg(reg, reg * 11)
+            for reg in range(2, NUM_REGS, 5):
+                view.read_reg(reg)
+            for address, _value in cells[:1]:
+                view.store(address, 99)
+            for address, _value in cells[1:2]:
+                view.load(address)
+        return view
+
+    return make
+
+
+def _slave_record(view) -> tuple:
+    """Everything a slave task reports from its view, dict order kept."""
+    return (
+        list(view.live_in_regs.items()),
+        list(view.live_in_mem.items()),
+        list(view.live_out_regs().items()),
+        list(view.live_out_mem().items()),
+        view.pc,
+    )
+
+
 def check_jit(program: Program, subject: Optional[str] = None) -> CheckReport:
     """Check a program's superblock JIT (:mod:`repro.machine.jit`).
 
@@ -962,13 +1017,19 @@ def check_jit(program: Program, subject: Optional[str] = None) -> CheckReport:
     differential (JIT003 — every region, in both its dict and flat
     memory flavors, executed on fuzzed register files, must leave
     exactly the machine state the decoded per-step engine reaches after
-    the same number of steps), and superblock-link validation (JIT004 —
+    the same number of steps; every ``slave``-mode region, on fuzzed
+    checkpoints, shipped overlays and architected memory, must record
+    exactly the live-in/live-out dicts, in the same insertion order, and
+    count the same loads, arrivals and status as the per-step
+    :class:`~repro.mssp.slave.SlaveView`), and superblock-link
+    validation (JIT004 —
     promotion is forced along every compiled-region-to-compiled-region
     exit edge and the fused traces must re-derive, keep their link
     targets at traced leaders, and pass the same differential).
     """
     from repro.machine.decoded import decode
     from repro.machine.jit import (
+        EXIT_ARRIVAL,
         EXIT_HALT,
         JitProgram,
         block_leaders,
@@ -985,60 +1046,67 @@ def check_jit(program: Program, subject: Optional[str] = None) -> CheckReport:
             "repeated jit_for() calls returned distinct JitPrograms for "
             "the same program object (cache attachment broken)",
         )
-    if jit_for(program, "view") is jp_cached:
+    if jit_for(program, "slave") is jp_cached:
         _finding(
             report, "JIT001", Severity.ERROR,
-            "view-mode jit_for() returned the arch-mode JitProgram "
+            "slave-mode jit_for() returned the arch-mode JitProgram "
             "(modes must cache separately)",
         )
 
-    # Compile every leader eagerly in a private instance (no disk I/O,
-    # no hotness warmup) so JIT002/JIT003 see the full region set.
-    jp = JitProgram(program, mode="arch", threshold=1, persist=False)
+    # Compile every leader eagerly in private instances (no disk I/O,
+    # no hotness warmup) so JIT002/JIT003 see the full region set of
+    # both the sequential and the slave codegen.
     leaders = block_leaders(program)
-    if jp.leaders != leaders:
-        _finding(
-            report, "JIT001", Severity.ERROR,
-            "JitProgram's leader set differs from block_leaders() "
-            "(arrival/stop checks would be emitted at the wrong pcs)",
-        )
-    regions = []
-    for entry in sorted(leaders):
-        region = jp.region_for(entry)
-        if region is not None:
-            regions.append(region)
+    compiled = {}
+    for mode in ("arch", "slave"):
+        jp = JitProgram(program, mode=mode, threshold=1, persist=False)
+        if jp.leaders != leaders:
+            _finding(
+                report, "JIT001", Severity.ERROR,
+                f"{mode}-mode JitProgram's leader set differs from "
+                "block_leaders() (arrival/stop checks would be emitted "
+                "at the wrong pcs)",
+            )
+        regions = []
+        for entry in sorted(leaders):
+            region = jp.region_for(entry)
+            if region is not None:
+                regions.append(region)
+        compiled[mode] = (jp, regions)
 
     # JIT002: stored region metadata re-derives from the program.
-    for region in regions:
-        if region.entry not in leaders:
-            _finding(
-                report, "JIT002", Severity.ERROR,
-                "compiled region starts at a non-leader pc",
-                pc=region.entry,
-            )
-        expected_pcs, expected_taken = jp.trace(region.entry)
-        if region.pcs != expected_pcs or region.taken != expected_taken:
-            _finding(
-                report, "JIT002", Severity.ERROR,
-                f"region trace {region.pcs} (taken {sorted(region.taken)}) "
-                f"does not re-derive ({expected_pcs} / "
-                f"{sorted(expected_taken)} expected)", pc=region.entry,
-            )
-            continue
-        if region.linear_len != len(region.pcs):
-            _finding(
-                report, "JIT002", Severity.ERROR,
-                f"linear_len {region.linear_len} != trace length "
-                f"{len(region.pcs)} (budget guards would be wrong)",
-                pc=region.entry,
-            )
-        if region.sources != jp.generate_sources(region.entry):
-            _finding(
-                report, "JIT002", Severity.ERROR,
-                "stored generated sources differ from regeneration "
-                "(codegen is not deterministic, or the region is stale)",
-                pc=region.entry,
-            )
+    for mode, (jp, regions) in compiled.items():
+        for region in regions:
+            if region.entry not in leaders:
+                _finding(
+                    report, "JIT002", Severity.ERROR,
+                    f"{mode}-mode region starts at a non-leader pc",
+                    pc=region.entry,
+                )
+            expected_pcs, expected_taken = jp.trace(region.entry)
+            if region.pcs != expected_pcs or region.taken != expected_taken:
+                _finding(
+                    report, "JIT002", Severity.ERROR,
+                    f"{mode}-mode region trace {region.pcs} (taken "
+                    f"{sorted(region.taken)}) does not re-derive "
+                    f"({expected_pcs} / {sorted(expected_taken)} "
+                    "expected)", pc=region.entry,
+                )
+                continue
+            if region.linear_len != len(region.pcs):
+                _finding(
+                    report, "JIT002", Severity.ERROR,
+                    f"{mode}-mode linear_len {region.linear_len} != trace "
+                    f"length {len(region.pcs)} (budget guards would be "
+                    "wrong)", pc=region.entry,
+                )
+            if region.sources != jp.generate_sources(region.entry):
+                _finding(
+                    report, "JIT002", Severity.ERROR,
+                    f"stored {mode}-mode sources differ from regeneration "
+                    "(codegen is not deterministic, or the region is "
+                    "stale)", pc=region.entry,
+                )
 
     # JIT003: region execution == decoded per-step execution, state for
     # state, on fuzzed register files — for both the dict and the flat
@@ -1084,25 +1152,92 @@ def check_jit(program: Program, subject: Optional[str] = None) -> CheckReport:
                 )
                 break
 
-    for region in regions:
+    def slave_differential(region) -> None:
+        """Slave mode: the region vs the per-step recording view, with
+        and without a task end pc at the region entry (arrival exits,
+        including those behind a back-edge)."""
+        budget = 3 * region.linear_len + 2
+        for variant in range(3):
+            make_view = _fuzz_slave_views(program, region.entry, variant)
+            for end_pc, arrivals in ((None, 0), (region.entry, 2)):
+                view, reference = make_view(), make_view()
+                label = f"slave region (fuzz variant {variant}, end pc " \
+                        f"{end_pc})"
+                try:
+                    steps, loads, left, status = region.slave(
+                        view, 0, 0, budget, end_pc, arrivals
+                    )
+                    ref_loads = 0
+                    ref_left = arrivals
+                    for _ in range(steps):
+                        effect = steppers[reference.pc](reference)
+                        if effect.mem_addr is not None \
+                                and not effect.is_store:
+                            ref_loads += 1
+                        if reference.pc == end_pc:
+                            ref_left -= 1
+                except Exception as exc:  # noqa: BLE001 - report
+                    _finding(
+                        report, "JIT003", Severity.ERROR,
+                        f"{label} raised {type(exc).__name__}: {exc}",
+                        pc=region.entry,
+                    )
+                    continue
+                problems = []
+                if _slave_record(view) != _slave_record(reference):
+                    problems.append(
+                        f"recorded {_slave_record(view)} but the per-step "
+                        f"view recorded {_slave_record(reference)}"
+                    )
+                if loads != ref_loads:
+                    problems.append(f"{loads} loads, expected {ref_loads}")
+                if left != ref_left:
+                    problems.append(
+                        f"{left} arrivals left, expected {ref_left}"
+                    )
+                if status == EXIT_HALT and (
+                    program.code[reference.pc].op is not Opcode.HALT
+                ):
+                    problems.append("reported halt off a halt")
+                if status == EXIT_ARRIVAL and (
+                    reference.pc != end_pc or ref_left
+                ):
+                    problems.append("reported an arrival that is not one")
+                if problems:
+                    _finding(
+                        report, "JIT003", Severity.ERROR,
+                        f"{label} diverges from the per-step view after "
+                        f"{steps} steps: {'; '.join(problems)}",
+                        pc=region.entry,
+                    )
+                    return
+
+    for region in compiled["arch"][1]:
         differential(region, region.full, "dict", "dict-flavor")
         differential(region, region.full_flat, "flat", "flat-flavor")
+    for region in compiled["slave"][1]:
+        slave_differential(region)
 
     # JIT004: promoted superblock links re-derive.  Force promotion on a
     # private instance (link threshold 1) along every static exit edge
     # that lands on another compiled region, then validate the fused
-    # traces — and run the JIT003 differential over them, since fused
+    # traces — and run the JIT003 differentials over them, since fused
     # regions contain inverted branch guards no plain trace exercises.
-    jp_linked = JitProgram(
-        program, mode="arch", threshold=1, persist=False, link_threshold=1
-    )
-    for entry in sorted(leaders):
-        jp_linked.region_for(entry)
-    for entry, region in sorted(jp_linked.compiled.items()):
-        for target in sorted(region.exit_targets):
-            if target in jp_linked.compiled:
-                jp_linked.region_for(entry)
-                jp_linked.region_for(target)  # transit: promotes at 1
+    def force_links(mode: str):
+        linked = JitProgram(
+            program, mode=mode, threshold=1, persist=False,
+            link_threshold=1,
+        )
+        for entry in sorted(leaders):
+            linked.region_for(entry)
+        for entry, region in sorted(linked.compiled.items()):
+            for target in sorted(region.exit_targets):
+                if target in linked.compiled:
+                    linked.region_for(entry)
+                    linked.region_for(target)  # transit: promotes at 1
+        return linked
+
+    jp_linked = force_links("arch")
     for entry, region in sorted(jp_linked.compiled.items()):
         if not region.links:
             continue
@@ -1142,6 +1277,9 @@ def check_jit(program: Program, subject: Optional[str] = None) -> CheckReport:
                 )
         differential(region, region.full, "dict", "fused dict-flavor")
         differential(region, region.full_flat, "flat", "fused flat-flavor")
+    for entry, region in sorted(force_links("slave").compiled.items()):
+        if region.links:
+            slave_differential(region)
     return report
 
 

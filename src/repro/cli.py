@@ -1080,6 +1080,10 @@ def cmd_bench(args) -> int:
     print(f"  master jit vs decoded:    {micro['master_jit_speedup']:>12.2f}x"
           f" ({micro['master_jit_coverage']:.0%} coverage, "
           f"{micro['jit_link_promotions']} link promotion(s))")
+    print(f"  slave jit vs decoded:     {micro['slave_jit_speedup']:>12.2f}x"
+          f" ({micro['slave_jit_compiled']} region(s), "
+          f"{micro['slave_jit_source_chars']:,} source chars, "
+          f"{micro['slave_jit_compile_s'] * 1e3:.1f} ms compiling)")
     table = Table(
         ["workload", "size", "wall s", "Msim/s", "speedup",
          "squash", "adapt", "redist", "cache"],

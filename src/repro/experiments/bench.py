@@ -162,9 +162,13 @@ def microbenchmark(
     (``flat_instrs_per_sec``), and the *master-side* JIT — the distilled
     program standalone under ``tier="jit"`` vs ``tier="decoded"``
     (``master_jit_speedup``, with ``master_jit_coverage`` the fraction
-    of distilled instructions retired inside generated code).  Also
-    records the arch JIT's linking counters so the CI bench smoke can
-    assert superblock linking actually engaged.
+    of distilled instructions retired inside generated code), and the
+    *slave-side* JIT — the whole program as one recording slave task
+    under ``tier="jit"`` vs ``tier="decoded"`` (``slave_jit_speedup``).
+    Also records the arch JIT's linking counters so the CI bench smoke
+    can assert superblock linking actually engaged, and each JIT's
+    set-up cost (``*_source_chars`` of generated source, ``*_compile_s``
+    spent compiling it).
     """
     program = get_workload(workload).instance(
         workload_size(workload, scale)
@@ -223,9 +227,58 @@ def microbenchmark(
         "jit_link_promotions": jit.stats["link_promotions"],
         "jit_link_demotions": jit.stats["link_demotions"],
         "jit_fused_regions": jit.stats["fused_regions"],
+        "jit_source_chars": jit.stats["source_chars"],
+        "jit_compile_s": jit.stats["compile_s"],
     }
     result.update(master_microbenchmark(workload, scale, repeats))
+    result.update(slave_microbenchmark(workload, scale, repeats))
     return result
+
+
+def slave_microbenchmark(
+    workload: str = MICRO_WORKLOAD,
+    scale: float = 1.0,
+    repeats: int = 3,
+) -> Dict[str, float]:
+    """Slave-side JIT stage: the program from boot to halt as one slave
+    task on a recording view, decoded vs jit tier."""
+    from repro.mssp.slave import execute_task
+    from repro.mssp.task import Checkpoint, Task
+
+    program = get_workload(workload).instance(
+        workload_size(workload, scale)
+    ).program
+
+    def time_once(tier: str) -> Tuple[int, float]:
+        arch = ArchState.initial(program)
+        task = Task(
+            tid=0, start_pc=program.entry,
+            checkpoint=Checkpoint(regs=tuple(arch.regs)),
+        )
+        start = time.perf_counter()
+        execute_task(program, task, arch, DEFAULT_STEP_LIMIT, tier=tier)
+        return task.n_instrs, time.perf_counter() - start
+
+    time_once("jit")  # crosses the hotness thresholds: regions compile
+    best: Dict[str, float] = {"decoded": float("inf"), "jit": float("inf")}
+    steps = 0
+    for _ in range(max(1, repeats)):
+        for tier in ("decoded", "jit"):
+            steps, elapsed = time_once(tier)
+            best[tier] = min(best[tier], elapsed)
+    decoded_ips = steps / best["decoded"] if best["decoded"] > 0 \
+        else float("inf")
+    jit_ips = steps / best["jit"] if best["jit"] > 0 else float("inf")
+    slave_jit = jit_for(program, "slave")
+    return {
+        "slave_jit_instrs_per_sec": jit_ips,
+        "slave_jit_speedup": (
+            jit_ips / decoded_ips if decoded_ips else float("inf")
+        ),
+        "slave_jit_compiled": slave_jit.stats["compiled"],
+        "slave_jit_source_chars": slave_jit.stats["source_chars"],
+        "slave_jit_compile_s": slave_jit.stats["compile_s"],
+    }
 
 
 def master_microbenchmark(

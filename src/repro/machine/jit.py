@@ -10,20 +10,23 @@ textual codegen and ``compile()``/``exec``.
 What the generated code looks like
 ----------------------------------
 
-* **Registers become Python locals** (``arch`` and ``master`` modes):
-  every register the region touches is read into a local once at entry
-  and written back at every exit.  The extra reads/writes are
-  unobservable on an :class:`~repro.machine.state.ArchState` (plain list
-  cells) and on the master's private view — which is exactly why these
-  modes are restricted to them.
+* **Registers become Python locals** in every mode: each register the
+  region touches is read into a local once at entry and written back at
+  every exit.  The extra reads/writes are unobservable on an
+  :class:`~repro.machine.state.ArchState` (plain list cells) and on the
+  master's private view; on a slave's recording view the region records
+  what the per-step reads and writes would have, at its exits (see
+  ``slave`` mode below).
 * **Wrap checks are inlined**: instead of calling ``wrap64`` per result,
   arithmetic emits a range check (``> MAXI or < MINI``) with the biased
   mask fix only on the rare overflow path; ops closed over canonical
   64-bit values (``and``/``or``/``xor``/``sra``/``mov``/comparisons)
   skip the check entirely.  This is sound because every localized value
   is canonical by construction (states wrap on write and at init).
-* **ZERO is folded**: instructions writing ``r0`` disappear entirely in
-  the localized modes (their operand reads are unobservable too).
+* **ZERO is folded**: instructions writing ``r0`` emit no code (their
+  operand reads are unobservable, or recorded statically in ``slave``
+  mode); ``master`` and ``slave`` mode also fold reads of ``r0`` to a
+  literal zero.
 * **Fall-through pcs are constant-folded**: inside a region the pc is
   not materialized at all; only exits store ``state.pc``.
 * **Memory ops are inlined** per backend: the ``arch`` mode compiles two
@@ -55,7 +58,9 @@ rather than a direct call between region functions, so linked hot loops
 cannot recurse the Python stack.  ``invalidate()`` (deopt teardown)
 atomically unpublishes a region together with its links and counters;
 in-flight passes finish on the old function, whose guards remain sound.
-``JitProgram.stats`` counts transits, promotions and fused regions.
+``JitProgram.stats`` counts transits, promotions and fused regions,
+and the set-up cost of generated code (``source_chars``,
+``compile_s``).
 
 Codegen modes
 -------------
@@ -65,10 +70,30 @@ Codegen modes
   ``full``/``full_flat`` (the 8-argument protocol below, dict/paged
   memory) and ``plain``/``plain_flat`` (a stripped sequential variant
   with no arrival/stop machinery for :meth:`JitProgram.run`).
-* ``view`` — exact per-access ``read_reg``/``write_reg``/``load``/
-  ``store`` calls in decoded order, sound for any ``MachineStateLike``
-  including the MSSP recording views; recorded live-ins/live-outs are
-  bit-identical to the per-step engine's.
+* ``slave`` — the original program on a slave's recording
+  :class:`~repro.mssp.slave.SlaveView`, with registers localized and the
+  recording compiled instead of called:
+
+  - *registers* are recorded at region exits only.  A pass executes a
+    prefix of the trace, and the registers that prefix reads before
+    writing are a prefix of the region's first-read order (likewise its
+    written registers of the first-write order), so each exit names its
+    prefix by two lengths in a per-region exit table; one shared
+    epilogue records them (``_rec``, skipping registers already written
+    or recorded, against the entry values captured once as a tuple),
+    writes the locals back and returns.  A loop back-edge records the
+    prefix it closes the first time a pass that long loops, so later
+    iterations record nothing;
+  - *loads* probe the task's own stores, then earlier first reads, then
+    the shipped checkpoint overlay over architected memory, all inline,
+    recording the first read of each address as a memory live-in;
+    *stores* land in the task's own store dict.
+
+  Recorded live-in/live-out dicts, insertion order included, are
+  bit-identical to the per-step view's (verify reports the first
+  mismatching live-in in that order).  Regions run without protected
+  regions only: a device-visible access needs the per-step view's
+  check before it happens.
 * ``master`` — the distilled program on the master's private view
   (:class:`repro.mssp.master._MasterView`): registers localized (``r0``
   folds to literal zero), the dirty/delta overlay dicts inlined, FORK
@@ -102,9 +127,14 @@ construction plus guards:
 Region function protocols
 -------------------------
 
-``full``/``full_flat`` (and ``view`` mode's single function)::
+``full``/``full_flat``::
 
     fn(state, steps, loads, budget, end_pc, arrivals, stops, min_steps)
+        -> (steps, loads, arrivals, status)
+
+``slave`` (slave tasks never stop early, so no stop machinery)::
+
+    fn(view, steps, loads, budget, end_pc, arrivals)
         -> (steps, loads, arrivals, status)
 
 ``plain``/``plain_flat`` (sequential run, no arrival/stop machinery)::
@@ -142,6 +172,7 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import InvalidPcError
@@ -190,7 +221,9 @@ EXIT_STOP = 3
 #: into every persistent-cache key, so stale generated code can never be
 #: executed against a newer runtime.  2: inlined wrap checks, per-backend
 #: memory flavors, plain variants, superblock linking, master mode.
-JIT_SCHEMA = 2
+#: 3: ``slave`` mode (localized registers, exit-time recording) replaces
+#: ``view`` mode.
+JIT_SCHEMA = 3
 
 #: Arrivals at a block leader before its region is compiled.
 DEFAULT_THRESHOLD = 16
@@ -225,9 +258,12 @@ _BIAS = 1 << 63
 #: Codegen variants per mode (see the module docstring).
 _VARIANTS = {
     "arch": ("full", "full_flat", "plain", "plain_flat"),
-    "view": ("full",),
+    "slave": ("slave",),
     "master": ("master",),
 }
+
+#: The variant each mode's dispatchers call (``Region.fn``).
+_CANONICAL = {"arch": "full", "slave": "slave", "master": "master"}
 
 # Localized-register expression templates and their wrap discipline.
 # "two": result may leave [MINI, MAXI] in either direction; "upper":
@@ -251,10 +287,6 @@ _LOCAL_R3: Dict[Opcode, Tuple[str, str]] = {
     Opcode.SNE: ("(1 if {a} != {b} else 0)", "none"),
 }
 
-# View-mode expressions: no wrap calls at all — ``write_reg`` wraps on
-# the way in, so the unwrapped expression value is unobservable.
-_VIEW_R3 = {op: expr for op, (expr, _kind) in _LOCAL_R3.items()}
-
 _I2_OPS_TO_R3 = {
     Opcode.ADDI: Opcode.ADD,
     Opcode.MULI: Opcode.MUL,
@@ -273,8 +305,39 @@ _BRANCH_EXPR = {
     Opcode.BGE: "{a} >= {b}",
 }
 
+def _read_order(instr: Instruction) -> List[int]:
+    """Registers ``instr`` reads, in the order the decoded steppers read
+    them (``rs`` before ``rt``): the order a recording view sees first
+    reads in."""
+    uses = instr.uses()
+    return [reg for reg in (instr.rs, instr.rt) if reg in uses]
+
+
+def _record_regs(view, reads, values, n_reads, writes, n_writes) -> None:
+    """Slave-mode exit recording on a :class:`~repro.mssp.slave.SlaveView`.
+
+    ``reads``/``values`` are the region's upward-exposed registers in
+    first-read order and their region-entry values; ``writes`` its
+    written registers in first-write order.  A trace prefix reads the
+    first ``n_reads`` and writes the first ``n_writes`` of them, so
+    recording the prefix a pass executed inserts exactly the live-ins,
+    in exactly the order, that per-step ``read_reg``/``write_reg`` calls
+    would have.
+    """
+    written = view._reg_written
+    live_in = view.live_in_regs
+    for i in range(n_reads):
+        reg = reads[i]
+        if not written[reg] and reg not in live_in:
+            live_in[reg] = values[i]
+    for i in range(n_writes):
+        written[writes[i]] = True
+
+
 #: Globals bound into every generated region's namespace.
-_CODEGEN_GLOBALS = {"w": wrap64, "dv": _div_trunc, "md": _mod_trunc}
+_CODEGEN_GLOBALS = {
+    "w": wrap64, "dv": _div_trunc, "md": _mod_trunc, "_rec": _record_regs,
+}
 
 
 def block_leaders(program: Program) -> FrozenSet[int]:
@@ -323,7 +386,7 @@ class Region:
     __slots__ = (
         "entry", "pcs", "taken", "links", "linear_len", "mode",
         "sources", "exit_targets", "guard_fallthroughs", "backedges",
-        "full", "full_flat", "plain", "plain_flat", "master",
+        "full", "full_flat", "plain", "plain_flat", "master", "slave",
     )
 
     def __init__(
@@ -359,6 +422,7 @@ class Region:
         self.plain = fns.get("plain")
         self.plain_flat = fns.get("plain_flat")
         self.master = fns.get("master")
+        self.slave = fns.get("slave")
         #: Static exit targets eligible for link promotion: taken targets
         #: of non-followed branches that leave the trace (and are not the
         #: entry, whose edge is already the loop back-edge).
@@ -378,14 +442,13 @@ class Region:
 
     @property
     def fn(self):
-        """The canonical full-protocol function (legacy accessor)."""
-        return self.master if self.mode == "master" else self.full
+        """The mode's canonical function (``full`` in ``arch`` mode)."""
+        return getattr(self, _CANONICAL[self.mode])
 
     @property
     def source(self) -> str:
-        """The canonical variant's source (legacy accessor)."""
-        key = "master" if self.mode == "master" else "full"
-        return self.sources[key]
+        """The canonical variant's source."""
+        return self.sources[_CANONICAL[self.mode]]
 
     def select(self, flat: bool):
         """The full-protocol function for the given memory backend."""
@@ -462,13 +525,18 @@ class JitProgram:
         self.links: Dict[int, Set[int]] = {}
         #: Observable codegen/linking counters (bench smoke asserts on
         #: these): regions compiled, candidate region-to-region transits,
-        #: promotions/demotions performed, currently-fused region count.
-        self.stats: Dict[str, int] = {
+        #: promotions/demotions performed, currently-fused region count,
+        #: and the set-up cost of generated code — characters of source
+        #: and seconds spent in ``compile``/``exec`` of it, summed over
+        #: every compilation (recompiles and persisted loads included).
+        self.stats: Dict[str, float] = {
             "compiled": 0,
             "link_transits": 0,
             "link_promotions": 0,
             "link_demotions": 0,
             "fused_regions": 0,
+            "source_chars": 0,
+            "compile_s": 0.0,
         }
         self._dead: Set[int] = set()
         self._counters: Dict[int, int] = {}
@@ -806,6 +874,7 @@ class JitProgram:
     ) -> Region:
         fns: Dict[str, object] = {}
         backedges = [0]  # shared across variants: one health counter
+        start = time.perf_counter()
         for variant, source in sources.items():
             namespace = dict(_CODEGEN_GLOBALS)
             namespace["_bk"] = backedges
@@ -816,6 +885,8 @@ class JitProgram:
             )
             exec(code, namespace)
             fns[variant] = namespace[f"_region_{entry}"]
+            self.stats["source_chars"] += len(source)
+        self.stats["compile_s"] += time.perf_counter() - start
         return Region(
             entry, pcs, taken, links, self.mode, sources, fns,
             self._exit_targets(entry, pcs, taken), backedges,
@@ -851,7 +922,7 @@ class JitProgram:
         if len(pcs) < _MIN_REGION:
             return None
         if variant is None:
-            variant = "master" if self.mode == "master" else "full"
+            variant = _CANONICAL[self.mode]
         return self._generate(entry, pcs, taken, variant)
 
     def generate_sources(self, entry: int) -> Optional[Dict[str, str]]:
@@ -872,15 +943,17 @@ class JitProgram:
         variant: str,
     ) -> str:
         mode = self.mode
-        localized_regs = mode in ("arch", "master")
         master = variant == "master"
+        slave = variant == "slave"
         plain = variant.startswith("plain")
         flat = variant.endswith("_flat")
-        checks = not plain and not master  # arrival/stop leader checks
+        checks = not plain and not master  # arrival (and stop) checks
+        stop_checks = checks and not slave  # slaves never stop early
+        fold_zero = mode != "arch"  # r0 reads fold to a literal zero
         code = self.program.code
         linear_len = len(pcs)
 
-        # Registers the region touches (localized modes).
+        # Registers the region touches, and whether it touches memory.
         reads: Set[int] = set()
         writes: Set[int] = set()
         has_loads = False
@@ -896,11 +969,36 @@ class JitProgram:
                 has_loads = True
             elif instr.op is Opcode.SW:
                 has_stores = True
-        if master:
-            # r0 folds to literal zero on the master view.
+        if fold_zero:
             reads.discard(ZERO)
         localized = sorted(reads | writes)
         written = sorted(writes)
+
+        # Slave mode: the register recording of every trace prefix.  The
+        # upward-exposed reads of a prefix, in first-read order, are a
+        # prefix of the region's (``first_reads``); likewise its writes
+        # of ``first_writes``.  ``cut[k]`` gives both prefix lengths
+        # after ``k`` executed instructions.
+        first_reads: List[int] = []
+        first_writes: List[int] = []
+        cut: List[Tuple[int, int]] = [(0, 0)]
+        if slave:
+            seen: Set[int] = set()
+            for pc in pcs:
+                instr = code[pc]
+                for reg in _read_order(instr):
+                    if reg != ZERO and reg not in seen:
+                        seen.add(reg)
+                        first_reads.append(reg)
+                for reg in instr.defs():
+                    if reg != ZERO and reg not in first_writes:
+                        seen.add(reg)
+                        first_writes.append(reg)
+                cut.append((len(first_reads), len(first_writes)))
+        # Slave-mode exits, dispatched through one shared epilogue: (pc
+        # or None for ``_p``, steps delta, loads delta, status,
+        # register-recording cut).
+        exits: List[tuple] = []
 
         # Master mode: anchor arrival counters for every traced pc the
         # master counts arrivals at, batch-committed at every exit.
@@ -924,14 +1022,16 @@ class JitProgram:
         elif master:
             out.emit(0, f"def _region_{entry}(state, steps, loads, budget, "
                         "arr):")
+        elif slave:
+            out.emit(0, f"def _region_{entry}(state, steps, loads, budget, "
+                        "end_pc, arrivals):")
         else:
             out.emit(0, f"def _region_{entry}(state, steps, loads, budget, "
                         "end_pc, arrivals, stops, min_steps):")
 
-        if localized_regs:
-            out.emit(1, "_regs = state.regs")
-            for reg in localized:
-                out.emit(1, f"r{reg} = _regs[{reg}]")
+        out.emit(1, "_regs = state._regs" if slave else "_regs = state.regs")
+        for reg in localized:
+            out.emit(1, f"r{reg} = _regs[{reg}]")
         if mode == "arch":
             if flat:
                 if has_loads or has_stores:
@@ -946,11 +1046,19 @@ class JitProgram:
                 if has_stores:
                     out.emit(1, "_mset = _mem.__setitem__")
                     out.emit(1, "_mpop = _mem.pop")
-        elif mode == "view":
-            out.emit(1, "_read = state.read_reg")
-            out.emit(1, "_write = state.write_reg")
-            out.emit(1, "_load = state.load")
-            out.emit(1, "_store = state.store")
+        elif slave:
+            # Entry values of the upward-exposed registers, captured once
+            # (first-read order): a register recorded at any exit was
+            # unwritten until its first read, so this is its value then.
+            values = "".join(f"r{reg}, " for reg in first_reads)
+            out.emit(1, f"_e = ({values})")
+            out.emit(1, "_hw = 0")  # longest prefix recorded so far
+            if has_loads or has_stores:
+                out.emit(1, "_own = state._own_mem")
+            if has_loads:
+                out.emit(1, "_lim = state.live_in_mem")
+                out.emit(1, "_ck = state._ckpt_mem")
+                out.emit(1, "_al = state._arch.load")
         elif master:
             if has_loads or has_stores:
                 out.emit(1, "_dirty = state.dirty")
@@ -965,16 +1073,13 @@ class JitProgram:
         out.emit(1, "while True:")
 
         def reg_expr(reg: int) -> str:
-            if mode == "view":
-                return f"_read({reg})"
-            if master and reg == ZERO:
+            if fold_zero and reg == ZERO:
                 return "0"
             return f"r{reg}"
 
         def writeback(indent: int) -> None:
-            if localized_regs:
-                for reg in written:
-                    out.emit(indent, f"_regs[{reg}] = r{reg}")
+            for reg in written:
+                out.emit(indent, f"_regs[{reg}] = r{reg}")
 
         def flush_arrivals(indent: int) -> None:
             for cid, anchor in anchor_of.items():
@@ -990,6 +1095,14 @@ class JitProgram:
         def exit_return(
             indent: int, pc_expr: str, k: int, ld: int, status: int
         ) -> None:
+            if slave:
+                # One shared epilogue serves every exit: keeps the
+                # generated source (the JIT's set-up cost) small.
+                pc = None if pc_expr == "_p" else int(pc_expr)
+                out.emit(indent, f"_x = {len(exits)}")
+                out.emit(indent, "break")
+                exits.append((pc, k, ld, status, cut[k]))
+                return
             writeback(indent)
             if master:
                 flush_arrivals(indent)
@@ -1021,6 +1134,8 @@ class JitProgram:
             out.emit(indent + 1, "arrivals -= 1")
             out.emit(indent + 1, "if not arrivals:")
             exit_return(indent + 2, pc_expr, k, ld, EXIT_ARRIVAL)
+            if not stop_checks:
+                return
             out.emit(
                 indent,
                 f"elif stops is not None and "
@@ -1031,7 +1146,18 @@ class JitProgram:
 
         def back_edge(indent: int, k: int, ld: int) -> None:
             """Flush deltas, run the entry's leader checks, re-check the
-            budget, and loop — or exit RUN for the dispatcher."""
+            budget, and loop — or exit RUN for the dispatcher.  Slave
+            mode records the looping prefix here, unless a pass already
+            recorded one as long (its exits then have nothing left to
+            record)."""
+            if slave and cut[k] != (0, 0):
+                n_reads, n_writes = cut[k]
+                out.emit(indent, f"if _hw < {k}:")
+                out.emit(
+                    indent + 1,
+                    f"_rec(state, _R, _e, {n_reads}, _W, {n_writes})",
+                )
+                out.emit(indent + 1, f"_hw = {k}")
             if k:
                 out.emit(indent, f"steps += {k}")
             if ld and not plain:
@@ -1063,11 +1189,14 @@ class JitProgram:
                 out.emit(indent, f"if {dest} > {_MAXI}:")
                 out.emit(indent + 1, f"{dest} -= {1 << 64}")
 
-        def emit_address(indent: int, rs: int, imm: int) -> str:
+        def emit_address(
+            indent: int, rs: int, imm: int, temp: bool = False
+        ) -> str:
             """Compute a canonical memory address into ``_a`` (or reuse
-            the base register directly when the offset is zero)."""
+            the base register directly when the offset is zero and no
+            ``temp`` is asked for)."""
             base = reg_expr(rs)
-            if imm == 0 and mode != "view":
+            if imm == 0 and not temp:
                 return base
             out.emit(indent, f"_a = {base} + {imm}" if imm else f"_a = {base}")
             if imm:
@@ -1075,66 +1204,60 @@ class JitProgram:
             return "_a"
 
         def emit_linear(indent: int, pc: int, instr: Instruction) -> int:
-            """Emit one non-control instruction; returns its load count."""
+            """Emit one non-control instruction; returns its load count.
+
+            Register reads need no code of their own in any mode: slave
+            mode records them statically, at the exits."""
             op = instr.op
             rd = instr.rd
             spec = _LOCAL_R3.get(op)
             if spec is not None:
                 if rd == ZERO:
-                    if mode == "view":  # recording views observe the reads
-                        out.emit(indent, f"_read({instr.rs})")
-                        out.emit(indent, f"_read({instr.rt})")
                     return 0
                 a, b = reg_expr(instr.rs), reg_expr(instr.rt)
-                if mode == "view":
-                    out.emit(
-                        indent,
-                        f"_write({rd}, {_VIEW_R3[op].format(a=a, b=b)})",
-                    )
-                else:
-                    expr, kind = spec
-                    out.emit(indent, f"r{rd} = {expr.format(a=a, b=b)}")
-                    emit_wrap(indent, f"r{rd}", kind)
+                expr, kind = spec
+                out.emit(indent, f"r{rd} = {expr.format(a=a, b=b)}")
+                emit_wrap(indent, f"r{rd}", kind)
                 return 0
             r3 = _I2_OPS_TO_R3.get(op)
             if r3 is not None:
                 if rd == ZERO:
-                    if mode == "view":
-                        out.emit(indent, f"_read({instr.rs})")
                     return 0
                 a = reg_expr(instr.rs)
                 imm = instr.imm
-                if mode == "view":
-                    out.emit(
-                        indent,
-                        f"_write({rd}, "
-                        f"{_VIEW_R3[r3].format(a=a, b=repr(imm))})",
-                    )
-                else:
-                    expr, kind = _LOCAL_R3[r3]
-                    if kind == "none" and not _MINI <= imm <= _MAXI:
-                        kind = "two"  # non-canonical immediate: play safe
-                    out.emit(
-                        indent, f"r{rd} = {expr.format(a=a, b=repr(imm))}"
-                    )
-                    emit_wrap(indent, f"r{rd}", kind)
+                expr, kind = _LOCAL_R3[r3]
+                if kind == "none" and not _MINI <= imm <= _MAXI:
+                    kind = "two"  # non-canonical immediate: play safe
+                out.emit(
+                    indent, f"r{rd} = {expr.format(a=a, b=repr(imm))}"
+                )
+                emit_wrap(indent, f"r{rd}", kind)
                 return 0
             if op is Opcode.LW:
-                if mode == "arch" and rd == ZERO:
-                    # The load is unobservable on an ArchState; it still
-                    # counts toward the loads delta.
+                if rd == ZERO and not slave:
+                    # Unobservable on an ArchState and on the master view
+                    # (no recording); it still counts toward the loads.
                     return 1
-                if master and rd == ZERO:
-                    # Unobservable on the master view too (no recording).
+                if slave:
+                    # Own stores, then earlier first reads, then the
+                    # shipped overlay over architected memory — recorded
+                    # as a memory live-in.  ``rd == rs`` takes the
+                    # address through ``_a``: the probe assigns ``rd``
+                    # before its last use of the address.
+                    addr = emit_address(
+                        indent, instr.rs, instr.imm, temp=rd == instr.rs
+                    )
+                    dest = f"r{rd}" if rd != ZERO else "_v"
+                    out.emit(indent, f"if {addr} in _own: "
+                                     f"{dest} = _own[{addr}]")
+                    out.emit(indent, f"elif {addr} in _lim: "
+                                     f"{dest} = _lim[{addr}]")
+                    out.emit(indent, f"else: {dest} = _lim[{addr}] = "
+                                     f"_ck[{addr}] if {addr} in _ck "
+                                     f"else _al({addr})")
                     return 1
                 addr = emit_address(indent, instr.rs, instr.imm)
-                if mode == "view":
-                    load = f"_load({addr})"
-                    if rd == ZERO:
-                        out.emit(indent, load)
-                    else:
-                        out.emit(indent, f"_write({rd}, {load})")
-                elif master:
+                if master:
                     out.emit(
                         indent,
                         f"r{rd} = _dirty[{addr}] if {addr} in _dirty "
@@ -1153,8 +1276,8 @@ class JitProgram:
             if op is Opcode.SW:
                 addr = emit_address(indent, instr.rs, instr.imm)
                 value = reg_expr(instr.rt)
-                if mode == "view":
-                    out.emit(indent, f"_store({addr}, {value})")
+                if slave:
+                    out.emit(indent, f"_own[{addr}] = {value}")
                 elif master:
                     # The master's dirty overlay keeps explicit zeros.
                     out.emit(indent, f"_dirty[{addr}] = {value}")
@@ -1174,20 +1297,10 @@ class JitProgram:
                 return 0
             if op is Opcode.LI:
                 if rd != ZERO:
-                    literal = repr(wrap64(instr.imm))
-                    if mode == "view":
-                        out.emit(indent, f"_write({rd}, {literal})")
-                    else:
-                        out.emit(indent, f"r{rd} = {literal}")
+                    out.emit(indent, f"r{rd} = {wrap64(instr.imm)!r}")
                 return 0
             if op is Opcode.MOV:
-                if rd == ZERO:
-                    if mode == "view":
-                        out.emit(indent, f"_read({instr.rs})")
-                    return 0
-                if mode == "view":
-                    out.emit(indent, f"_write({rd}, _read({instr.rs}))")
-                else:
+                if rd != ZERO:
                     out.emit(indent, f"r{rd} = {reg_expr(instr.rs)}")
                 return 0
             # NOP and FORK (a task marker, not a computation) fall through.
@@ -1248,10 +1361,7 @@ class JitProgram:
 
             if op is Opcode.J or op is Opcode.JAL:
                 if op is Opcode.JAL:
-                    if mode == "view":
-                        out.emit(body, f"_write({RA}, {pc + 1})")
-                    else:
-                        out.emit(body, f"r{RA} = {pc + 1}")
+                    out.emit(body, f"r{RA} = {pc + 1}")
                 steps_delta += 1
                 target = instr.target
                 if target == entry:
@@ -1267,6 +1377,27 @@ class JitProgram:
             steps_delta += 1
             if i + 1 == len(pcs):  # trace truncated mid-block
                 run_exit(body, pc + 1, steps_delta, loads_delta)
+        if slave:
+            # The shared exit: look the exit up in ``_X``, record the
+            # registers of the prefix it leaves from, write the register
+            # locals back, and return.
+            out.emit(1, "_pc, _k, _ld, _st, _nr, _nw = _X[_x]")
+            if first_reads or first_writes:
+                out.emit(1, "if _k > _hw:")
+                out.emit(2, "_rec(state, _R, _e, _nr, _W, _nw)")
+            writeback(1)
+            if any(pc is None for pc, *_rest in exits):
+                out.emit(1, "state.pc = _p if _pc is None else _pc")
+            else:
+                out.emit(1, "state.pc = _pc")
+            out.emit(1, "return steps + _k, loads + _ld, arrivals, _st")
+            out.emit(0, f"_R = {tuple(first_reads)!r}")
+            out.emit(0, f"_W = {tuple(first_writes)!r}")
+            out.emit(0, "_X = (")
+            for pc, k, ld, status, (n_reads, n_writes) in exits:
+                out.emit(1, f"({pc}, {k}, {ld}, {status}, {n_reads}, "
+                            f"{n_writes}),")
+            out.emit(0, ")")
         return out.source()
 
     # -- sequential execution ------------------------------------------------
@@ -1286,7 +1417,8 @@ class JitProgram:
         boundary the decoded engine's exact logic takes over, so
         :class:`~repro.errors.StepLimitExceeded` fires at the same
         instruction as the reference loop.  ``arch`` mode must only ever
-        see an :class:`~repro.machine.state.ArchState` here.
+        see an :class:`~repro.machine.state.ArchState` here, ``slave``
+        mode a :class:`~repro.mssp.slave.SlaveView`.
         """
         decoded = self.decoded
         if observer is not None:
@@ -1307,8 +1439,8 @@ class JitProgram:
                     fn = region.plain_flat if flat else region.plain
                     steps, status = fn(state, steps, max_steps)
                 else:
-                    steps, _loads, _arrivals, status = region.fn(
-                        state, steps, 0, max_steps, None, 0, None, 0
+                    steps, _loads, _arrivals, status = region.slave(
+                        state, steps, 0, max_steps, None, 0
                     )
                 if status == EXIT_HALT:
                     return steps, True

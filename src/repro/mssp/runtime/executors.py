@@ -202,7 +202,7 @@ class ThreadExecutor(SlaveExecutor):
             # threads race to attach it to the program object.
             from repro.machine.jit import jit_for
 
-            jit_for(core.original, "view")
+            jit_for(core.original, "slave")
 
     @property
     def workers(self) -> int:

@@ -102,7 +102,7 @@ class TaskPipeline:
             else:
                 from repro.machine.jit import jit_for
 
-                self._jit_leaders = jit_for(core.original, "view").leaders
+                self._jit_leaders = jit_for(core.original, "slave").leaders
 
     # -- episode ------------------------------------------------------------------
 

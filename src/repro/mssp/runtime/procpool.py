@@ -80,7 +80,7 @@ def _worker_init(
     if tier == "jit":
         from repro.machine.jit import jit_for
 
-        jit_for(program, "view")
+        jit_for(program, "slave")
 
 
 def _pipe_worker(

@@ -39,6 +39,12 @@ class SlaveView:
     :class:`~repro.errors.ProtectedAccessError` *before* the access is
     performed — speculative execution must never produce (or observe) a
     device-visible effect.
+
+    This is the per-step recording view and the oracle for the JIT's
+    ``slave`` codegen mode (:mod:`repro.machine.jit`), whose compiled
+    regions work on the same fields directly: ``_regs`` and
+    ``_reg_written``, the recorded dicts, ``_own_mem``, ``_ckpt_mem`` and
+    ``_arch``.
     """
 
     __slots__ = (
@@ -150,7 +156,7 @@ def execute_task(
     remaining_arrivals = max(1, task.end_arrivals)
     jp = None
     if tier == "jit" and regions is None:
-        candidate = jit_for(program, "view")
+        candidate = jit_for(program, "slave")
         if end_pc is None or end_pc in candidate.leaders:
             jp = candidate
     while True:
@@ -161,9 +167,9 @@ def execute_task(
         if jp is not None:
             region = jp.region_for(pc)
             if region is not None and steps + region.linear_len < max_instrs:
-                steps, loads, remaining_arrivals, status = region.fn(
+                steps, loads, remaining_arrivals, status = region.slave(
                     view, steps, loads, max_instrs, end_pc,
-                    remaining_arrivals, None, 0,
+                    remaining_arrivals,
                 )
                 if status == EXIT_HALT:
                     halted = True

@@ -583,6 +583,48 @@ class TestCheckJit:
         report = check_jit(rich_program)
         assert "JIT003" in error_ids(report)
 
+    def test_slave_back_edge_skipping_recording_is_jit003(
+        self, rich_program, monkeypatch
+    ):
+        """Seeded slave-codegen bug: loop back-edges never record the
+        registers of the prefix they close."""
+        import re
+
+        from repro.machine import jit as jit_mod
+
+        original = jit_mod.JitProgram._compile_sources
+
+        def forgetful(self, entry, pcs, taken, links, sources):
+            sources = {
+                variant: re.sub(r"if _hw < \d+:", "if _hw < 0:", source)
+                for variant, source in sources.items()
+            }
+            return original(self, entry, pcs, taken, links, sources)
+
+        monkeypatch.setattr(
+            jit_mod.JitProgram, "_compile_sources", forgetful
+        )
+        report = check_jit(rich_program)
+        assert any(
+            f.check_id == "JIT003" and f.message.startswith("slave region")
+            for f in report.errors
+        )
+
+    def test_clean_program_exercises_slave_back_edges(self, rich_program):
+        """The slave differential is not vacuous: the fixture has slave
+        regions whose back-edges record."""
+        from repro.machine.jit import JitProgram, block_leaders
+
+        jp = JitProgram(rich_program, mode="slave", threshold=1,
+                        persist=False)
+        sources = [
+            region.source for region in (
+                jp.region_for(entry)
+                for entry in sorted(block_leaders(rich_program))
+            ) if region is not None
+        ]
+        assert any("if _hw < " in source for source in sources)
+
     def test_clean_program_exercises_link_promotion(self, rich_program):
         """JIT004 must not be vacuous: the forced-promotion pass inside
         check_jit has to actually fuse regions on the rich fixture."""

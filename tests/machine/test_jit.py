@@ -34,6 +34,8 @@ from repro.machine.jit import (
     resolve_exec_tier,
 )
 from repro.machine.state import ArchState
+from repro.mssp.slave import SlaveView
+from repro.mssp.task import Checkpoint
 
 #: A program whose inner loop runs hot enough to compile at the default
 #: threshold, with a subroutine (jal/jr), memory traffic, a ZERO-dest
@@ -62,6 +64,47 @@ leaf:   addi r2, r2, 7
 def hot_jit(program, mode="arch"):
     """A JitProgram that compiles on first arrival, no disk persistence."""
     return JitProgram(program, mode=mode, threshold=1, persist=False)
+
+
+def slave_view(program):
+    """A recording view on a boot checkpoint, as a slave task sees it."""
+    arch = ArchState.initial(program)
+    return SlaveView(Checkpoint(regs=tuple(arch.regs)), arch, program.entry)
+
+
+def recorded(view):
+    """A view's recorded sets, insertion order included."""
+    return (
+        list(view.live_in_regs.items()), list(view.live_in_mem.items()),
+        list(view.live_out_regs().items()), list(view.live_out_mem().items()),
+    )
+
+
+def committed(program, view):
+    """The architected state a view's live-outs commit to."""
+    state = ArchState.initial(program)
+    for reg, value in view.live_out_regs().items():
+        state.write_reg(reg, value)
+    for address, value in view.live_out_mem().items():
+        state.store(address, value)
+    state.pc = view.pc
+    return state
+
+
+def assert_slave_mode_equivalent(program, max_steps=1_000_000):
+    """Slave-mode run on a recording view == decoded run on another:
+    same result, same committed state as a plain sequential run, and
+    the same recorded sets in the same order."""
+    ref_state = ArchState.initial(program)
+    ref = decode(program).run(ref_state, max_steps)
+    ref_view = slave_view(program)
+    assert decode(program).run(ref_view, max_steps) == ref
+    jp = hot_jit(program, mode="slave")
+    view = slave_view(program)
+    assert jp.run(view, max_steps) == ref
+    assert committed(program, view) == ref_state
+    assert recorded(view) == recorded(ref_view)
+    return jp
 
 
 def assert_jit_equivalent(program, max_steps=1_000_000):
@@ -95,15 +138,10 @@ class TestDifferentialFixtures:
             jp = assert_jit_equivalent(program, max_steps=2_000_000)
             assert jp.compiled, f"workload {name} never went hot"
 
-    def test_view_mode_equivalent_on_arch_state(self):
-        """``view`` codegen (method calls) against a plain ArchState."""
-        program = assemble(HOT_FIXTURE)
-        ref_state = ArchState.initial(program)
-        ref = decode(program).run(ref_state, 1_000_000)
-        view_state = ArchState.initial(program)
-        jp = hot_jit(program, mode="view")
-        assert jp.run(view_state, 1_000_000) == ref
-        assert view_state == ref_state
+    def test_slave_mode_equivalent_on_slave_view(self):
+        """``slave`` codegen (localized registers, exit-time recording)
+        against the per-step recording view."""
+        jp = assert_slave_mode_equivalent(assemble(HOT_FIXTURE))
         assert jp.compiled
 
     def test_unknown_mode_rejected(self):
@@ -195,12 +233,8 @@ class TestDifferentialRandom:
 
     @settings(max_examples=15, deadline=None)
     @given(terminating_programs())
-    def test_random_programs_equivalent_in_view_mode(self, program):
-        ref_state = ArchState.initial(program)
-        ref = decode(program).run(ref_state, 1_000_000)
-        state = ArchState.initial(program)
-        assert hot_jit(program, mode="view").run(state, 1_000_000) == ref
-        assert state == ref_state
+    def test_random_programs_equivalent_in_slave_mode(self, program):
+        assert_slave_mode_equivalent(program)
 
     @settings(max_examples=15, deadline=None)
     @given(terminating_programs())
@@ -426,13 +460,68 @@ class TestPersistentCodeCache:
         program = assemble(HOT_FIXTURE)
         other = assemble(HOT_FIXTURE.replace("li r1, 40", "li r1, 41"))
         key = jit_cache_key(program, "arch")
-        assert key != jit_cache_key(program, "view")
+        assert key != jit_cache_key(program, "slave")
         assert key != jit_cache_key(other, "arch")
         assert key == jit_cache_key(
             pickle.loads(pickle.dumps(program)), "arch"
         )  # content-addressed: object identity is irrelevant
         monkeypatch.setattr(jit_mod, "JIT_SCHEMA", jit_mod.JIT_SCHEMA + 1)
         assert key != jit_cache_key(program, "arch")
+
+    def test_schema_2_entry_is_a_miss(self, tmp_path, monkeypatch):
+        """Entries stored before ``slave`` mode replaced ``view`` mode
+        (schema 2) are never loaded, whatever mode they were keyed by."""
+        monkeypatch.setenv("REPRO_BENCH_CACHE", str(tmp_path))
+        program = assemble(HOT_FIXTURE)
+        current = jit_mod.JIT_SCHEMA
+        assert current == 3
+        monkeypatch.setattr(jit_mod, "JIT_SCHEMA", 2)
+        stale = JitProgram(program, threshold=1, persist=True)
+        stale.run(ArchState.initial(program), 1_000_000)
+        assert stale.compiled
+        slave = JitProgram(program, mode="slave", threshold=1, persist=False)
+        slave.run(slave_view(program), 1_000_000)
+        from repro.experiments import cache
+
+        for mode in ("view", "slave"):
+            cache.store(
+                "jitcode", jit_cache_key(program, mode),
+                {
+                    entry: {
+                        "pcs": list(region.pcs), "taken": [], "links": [],
+                        "sources": {"slave": region.source},
+                    }
+                    for entry, region in slave.compiled.items()
+                },
+            )
+        monkeypatch.setattr(jit_mod, "JIT_SCHEMA", current)
+        twin = pickle.loads(pickle.dumps(program))
+        assert not JitProgram(twin, threshold=1_000_000).compiled
+        assert not JitProgram(
+            twin, mode="slave", threshold=1_000_000
+        ).compiled
+
+    def test_stats_count_source_and_compile_time(self, tmp_path,
+                                                 monkeypatch):
+        """``source_chars``/``compile_s`` sum every compilation, fresh
+        or loaded from the persistent cache."""
+        monkeypatch.setenv("REPRO_BENCH_CACHE", str(tmp_path))
+        program = assemble(HOT_FIXTURE)
+        first = JitProgram(program, mode="slave", threshold=1, persist=True)
+        first.run(slave_view(program), 1_000_000)
+        chars = sum(
+            len(source) for region in first.compiled.values()
+            for source in region.sources.values()
+        )
+        assert first.stats["source_chars"] >= chars > 0
+        assert first.stats["compile_s"] > 0
+        warm = JitProgram(
+            pickle.loads(pickle.dumps(program)), mode="slave",
+            threshold=1_000_000, persist=True,
+        )
+        assert warm.stats["compiled"] == len(first.compiled)
+        assert warm.stats["source_chars"] == chars
+        assert warm.stats["compile_s"] > 0
 
     def test_corrupt_cache_entry_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_CACHE", str(tmp_path))
@@ -452,8 +541,8 @@ class TestJitForCache:
     def test_cached_per_program_identity_and_mode(self):
         program = assemble(HOT_FIXTURE)
         assert jit_for(program) is jit_for(program)
-        assert jit_for(program, "view") is jit_for(program, "view")
-        assert jit_for(program) is not jit_for(program, "view")
+        assert jit_for(program, "slave") is jit_for(program, "slave")
+        assert jit_for(program) is not jit_for(program, "slave")
         twin = assemble(HOT_FIXTURE)
         assert jit_for(twin) is not jit_for(program)
 
@@ -512,3 +601,6 @@ class TestZeroRegisterFolding:
         state = ArchState.initial(program)
         jp.run(state, 1_000_000)
         assert state.read_reg(0) == 0
+        # Slave mode folds the writes too, but still records the reads
+        # (and the first read of the discarded load) as live-ins.
+        assert assert_slave_mode_equivalent(program).compiled

@@ -20,8 +20,9 @@ from repro.config import DistillConfig, MsspConfig
 from repro.distill import Distiller
 from repro.experiments.harness import prepare
 from repro.isa.asm import assemble
+from repro.isa.registers import NUM_REGS
 from repro.machine.decoded import decode
-from repro.machine.jit import block_leaders
+from repro.machine.jit import block_leaders, jit_for
 from repro.machine.state import ArchState
 from repro.mssp import MsspEngine, ParallelMsspEngine
 from repro.mssp.faults import corrupt_live_in
@@ -211,17 +212,23 @@ leaf:   addi r2, r2, 7
 """
 
 
-def run_task(program, tier, end_pc=None, end_arrivals=1, max_instrs=10_000):
+def run_task(program, tier, end_pc=None, end_arrivals=1, max_instrs=10_000,
+             start_pc=None, checkpoint=None):
+    """One task under ``tier``: everything it reports, with the recorded
+    dicts as item lists so their insertion order is compared too (verify
+    reads the first mismatching live-in in that order)."""
     arch = ArchState.initial(program)
     task = Task(
-        tid=0, start_pc=program.entry,
-        checkpoint=Checkpoint(regs=tuple(arch.regs)),
+        tid=0,
+        start_pc=program.entry if start_pc is None else start_pc,
+        checkpoint=checkpoint or Checkpoint(regs=tuple(arch.regs)),
         end_pc=end_pc, end_arrivals=end_arrivals,
     )
     execute_task(program, task, arch, max_instrs, tier=tier)
     return (
-        task.live_in_regs, task.live_in_mem, task.live_out_regs,
-        task.live_out_mem, task.n_instrs, task.n_loads, task.end_state_pc,
+        list(task.live_in_regs.items()), list(task.live_in_mem.items()),
+        list(task.live_out_regs.items()), list(task.live_out_mem.items()),
+        task.n_instrs, task.n_loads, task.end_state_pc,
         task.halted, task.overrun, task.faulted,
     )
 
@@ -281,3 +288,105 @@ class TestExecuteTaskTiers:
         reference = run_task(program, "decoded", max_instrs=budget)
         for tier in ("oracle", "jit"):
             assert run_task(program, tier, max_instrs=budget) == reference
+
+    @given(terminating_programs(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_random_checkpoints_and_leader_end_pcs(self, program, data):
+        """Tasks from any leader, on any checkpoint (registers and a
+        shipped memory overlay), ending at any leader: the jit tier
+        records exactly what the decoded tier records."""
+        leaders = sorted(block_leaders(program))
+        start_pc = data.draw(st.sampled_from(leaders))
+        end_pc = data.draw(st.one_of(st.none(), st.sampled_from(leaders)))
+        arrivals = data.draw(st.integers(1, 3))
+        regs = data.draw(st.lists(
+            st.integers(-(1 << 63), (1 << 63) - 1),
+            min_size=NUM_REGS - 1, max_size=NUM_REGS - 1,
+        ))
+        cells = sorted(program.memory)
+        overlay = data.draw(st.dictionaries(
+            st.sampled_from(cells) if cells else st.integers(0, 64),
+            st.integers(-(1 << 63), (1 << 63) - 1), max_size=4,
+        ))
+        checkpoint = Checkpoint(regs=(0, *regs), mem=overlay)
+        jit_for(program, "slave", threshold=1)  # compile on first arrival
+        runs = {
+            tier: run_task(
+                program, tier, end_pc=end_pc, end_arrivals=arrivals,
+                max_instrs=2_000, start_pc=start_pc, checkpoint=checkpoint,
+            )
+            for tier in ("decoded", "jit")
+        }
+        assert runs["jit"] == runs["decoded"]
+
+
+#: A back-edge from the middle of a trace: the ``bne`` at pc 3 loops to
+#: the entry while the trace runs on through the tail.  A pass leaving
+#: by that back-edge executed only its prefix — it must record ``r1``
+#: alone, never the tail's reads (``r3``, ``r4``) or write (``r2``).
+MID_TRACE_BACK_EDGE = """
+        .text
+main:   li r1, 40
+        li r2, 0
+loop:   addi r1, r1, -1
+        bne r1, r0, loop
+        add r2, r3, r4
+        halt
+"""
+
+#: Loads whose destination is their own base register (``lw rX, k(rX)``)
+#: chasing pointer cycles through architected memory, with and without
+#: an offset: the probe must record the live-in at the address, not at
+#: the loaded value.
+SELF_BASE_LOADS = """
+        .data 256
+chain:  .word 257, 258, 259, 256
+        .data 300
+skew:   .word 0, 302, 0, 300
+        .text
+main:   li r1, 40
+        li r5, 256
+        li r6, 300
+loop:   lw r5, 0(r5)
+        lw r6, 1(r6)
+        add r7, r7, r5
+        addi r1, r1, -1
+        bne r1, r0, loop
+        halt
+"""
+
+
+class TestSlaveCodegenTraps:
+    def test_mid_trace_back_edge_records_its_prefix_only(self):
+        program = assemble(MID_TRACE_BACK_EDGE)
+        loop = 2
+        jp = jit_for(program, "slave", threshold=1)
+        assert jp.trace(loop)[0] == (2, 3, 4, 5)
+        checkpoint = Checkpoint(regs=tuple(
+            40 if reg == 1 else 7 * reg for reg in range(NUM_REGS)
+        ))
+        for end_pc, arrivals in ((loop, 1), (loop, 2), (loop, 5), (None, 1)):
+            runs = [
+                run_task(program, tier, end_pc=end_pc, end_arrivals=arrivals,
+                         start_pc=loop, checkpoint=checkpoint)
+                for tier in ("decoded", "jit")
+            ]
+            assert runs[1] == runs[0]
+        assert jp.compiled, "the loop region must have run"
+        live_ins, _mem, live_outs = run_task(
+            program, "jit", end_pc=loop, end_arrivals=3, start_pc=loop,
+            checkpoint=checkpoint,
+        )[:3]
+        assert live_ins == [(1, 40)]
+        assert live_outs == [(1, 37)]
+
+    def test_load_into_its_own_base_register(self):
+        program = assemble(SELF_BASE_LOADS)
+        jp = jit_for(program, "slave", threshold=1)
+        reference = run_task(program, "decoded")
+        assert run_task(program, "jit") == reference
+        assert jp.compiled
+        live_in_mem = dict(reference[1])
+        assert live_in_mem == {
+            256: 257, 257: 258, 258: 259, 259: 256, 301: 302, 303: 300,
+        }
