@@ -87,6 +87,8 @@ CHECKS: Dict[str, str] = {
               "instruction",
     "DEC003": "superstep chains stop exactly at block terminators, with "
               "correct halt flags",
+    "DEC004": "the block-stepped profile, load count and seq advance equal "
+              "their per-step oracles on a bounded run",
     # -- superblock JIT checks ------------------------------------------------
     "JIT001": "jit compilation is cached per program object and per codegen "
               "mode, and regions start only at block leaders",
@@ -830,8 +832,14 @@ def _check_arrival(
 # ---------------------------------------------------------------------------
 
 
+#: Step budget of the DEC004 differential run (per pass, per side).
+DEC004_STEPS = 1_000_000
+
+
 def check_decoded(
-    program: Program, subject: Optional[str] = None
+    program: Program,
+    subject: Optional[str] = None,
+    max_steps: int = DEC004_STEPS,
 ) -> CheckReport:
     """Check a program's decoding (:mod:`repro.machine.decoded`).
 
@@ -842,6 +850,11 @@ def check_decoded(
     them against the decoding actually served by the cache — so ``repro
     lint`` catches decoder/ISA drift (or a corrupted cache attachment)
     statically, before the differential tests have to.
+
+    ``DEC004`` then runs the block-stepped sequential passes from the
+    boot state against their per-step oracles for up to ``max_steps``
+    instructions (0 skips it): a run that stops early — step limit,
+    invalid pc — must stop identically on both sides.
     """
     from repro.machine.decoded import _decode_meta, decode
 
@@ -917,7 +930,103 @@ def check_decoded(
                 f"terminator {'is' if expected_halts[pc] else 'is not'} "
                 "a halt", pc=pc,
             )
+    if max_steps > 0:
+        _check_block_passes(report, program, decoded, max_steps)
     return report
+
+
+def _profile_signature(profile) -> tuple:
+    """A profile's contents plus the order of every dict and set in it."""
+    return (
+        profile.to_dict(),
+        list(profile.branches),
+        list(profile.loads),
+        list(profile.stores),
+        [list(load.values) for load in profile.loads.values()],
+        list(profile.loaded_addresses),
+        list(profile.stored_addresses),
+    )
+
+
+def _check_block_passes(
+    report: CheckReport, program: Program, decoded, max_steps: int
+) -> None:
+    """DEC004: block-stepped passes against per-step oracles."""
+    from repro.errors import ExecutionError
+    from repro.machine.state import ArchState
+    from repro.profiling.profiler import Profiler, profile_program
+
+    def outcome(fn, state):
+        try:
+            return fn(state)
+        except ExecutionError as error:
+            return repr(error)
+
+    def differ(what: str, fast, oracle) -> bool:
+        if fast != oracle:
+            _finding(
+                report, "DEC004", Severity.ERROR,
+                f"block-stepped {what} differs from the per-step oracle",
+            )
+        return fast != oracle
+
+    boot = ArchState.initial(program)
+    profiler = Profiler(program)
+    oracle_state, fast_state = boot.copy(), boot.copy()
+    oracle = outcome(
+        lambda s: decoded.run(s, max_steps, observer=profiler.observe),
+        oracle_state,
+    )
+    fast = outcome(
+        lambda s: profile_program(program, s, max_steps), fast_state
+    )
+    if isinstance(oracle, str) or isinstance(fast, str):
+        differ("profile run's outcome", fast, oracle)
+    else:
+        differ("profile", _profile_signature(fast),
+               _profile_signature(profiler.profile))
+    differ("profile run's final state", fast_state, oracle_state)
+
+    loads = 0
+
+    def count(pc, instr, effect, state):
+        nonlocal loads
+        if effect.mem_addr is not None and not effect.is_store:
+            loads += 1
+
+    oracle_state, fast_state = boot.copy(), boot.copy()
+    oracle = outcome(
+        lambda s: decoded.run(s, max_steps, observer=count) + (loads,),
+        oracle_state,
+    )
+    fast = outcome(lambda s: decoded.count_loads(s, max_steps), fast_state)
+    differ("load count", fast, oracle)
+    differ("load count's final state", fast_state, oracle_state)
+
+    # seq in growing strides that end inside chains, past the halt too.
+    oracle_state, fast_state = boot.copy(), boot.copy()
+    stride = done = 0
+    while done < max_steps:
+        stride = stride * 3 // 2 + 1
+        oracle = outcome(lambda s: _step_seq(decoded, s, stride),
+                         oracle_state)
+        fast = outcome(lambda s: decoded.advance(s, stride), fast_state)
+        if differ(f"advance by {stride} after {done} instructions",
+                  (fast, fast_state), (oracle, oracle_state)):
+            return
+        done += stride
+        pc = oracle_state.pc
+        if oracle is not None or not 0 <= pc < decoded.size or (
+            decoded.code[pc].op is Opcode.HALT
+        ):
+            return
+
+
+def _step_seq(decoded, state, n: int) -> None:
+    """The paper's ``seq(S, n)``, one instruction at a time, in place."""
+    for _ in range(n):
+        if decoded.step(state).halted:
+            return
 
 
 # ---------------------------------------------------------------------------

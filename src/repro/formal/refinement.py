@@ -11,7 +11,9 @@ engine's trace records, advancing a sequential reference machine by each
 committed task's (and each recovery's) instruction count, and verifies
 that every committed jump lands exactly where SEQ lands — same pc after
 the jump — and that the run's endpoint equals SEQ's final state.
-Squashed-task records must not advance the reference at all.
+Squashed-task records must not advance the reference at all.  The
+reference is private to the replay, so each jump advances it in place
+on the decoded engine's basic-block chains, with no state copy per task.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import List, Sequence
 
 from repro.errors import MsspError
 from repro.isa.program import Program
-from repro.machine.interpreter import seq
+from repro.machine.decoded import decode
 from repro.machine.state import ArchState
 from repro.mssp.engine import MsspResult
 from repro.mssp.trace import RecoveryRecord, TaskAttemptRecord
@@ -41,6 +43,7 @@ def replay_trace(program: Program, result: MsspResult) -> RefinementReport:
     """Verify that ``result``'s trace is a jumping refinement of SEQ."""
     report = RefinementReport(ok=True)
     reference = ArchState.initial(program)
+    advance = decode(program).advance
     for record in result.records:
         if isinstance(record, TaskAttemptRecord):
             if not record.committed:
@@ -52,7 +55,7 @@ def replay_trace(program: Program, result: MsspResult) -> RefinementReport:
                 )
                 report.ok = False
                 break
-            reference = seq(program, reference, record.n_instrs)
+            advance(reference, record.n_instrs)
             report.jumps += 1
             report.jumped_instrs += record.n_instrs
             if (
@@ -67,7 +70,7 @@ def replay_trace(program: Program, result: MsspResult) -> RefinementReport:
                 report.ok = False
                 break
         elif isinstance(record, RecoveryRecord):
-            reference = seq(program, reference, record.n_instrs)
+            advance(reference, record.n_instrs)
     if report.ok:
         differences = result.final_state.diff(reference)
         if differences:

@@ -33,10 +33,20 @@ code must not rely on that.
 On top of per-instruction closures, :class:`DecodedProgram` precomputes
 **basic-block supersteps**: for every pc, the straight-line run of
 closures from that pc to its block terminator.  The observer-free run
-loop executes whole chains without per-step pc bounds checks, falling
-back to exact per-step execution near the step-limit boundary so
+loop executes whole chains without per-step pc bounds checks; near the
+step-limit boundary it runs only the exact prefix of the last chain, so
 ``StepLimitExceeded`` fires at precisely the same instruction count as
 the reference loop.
+
+Every sequential pass runs on these chains: :meth:`DecodedProgram.run`,
+the load count (:meth:`DecodedProgram.count_loads`, the same loop
+adding each chain's static load count), the in-place ``seq`` of the refinement
+replay (:meth:`DecodedProgram.advance`), and the profiler, which runs
+:meth:`DecodedProgram.chains_with` chains whose ``lw``/``sw`` (and
+rare self-fall-through branch) closures record as they execute
+(:func:`recording_stepper`, :func:`counting_branch_stepper`).  The
+per-step loop remains for runs with an observer attached, which is how
+tests and ``repro lint`` hold these passes against per-step oracles.
 
 Decoded programs are cached per :class:`~repro.isa.program.Program`
 *instance* (identity, not value): the decoding is attached to the
@@ -51,7 +61,7 @@ source instruction (the ``DEC`` checks).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
 from repro.errors import InvalidPcError, StepLimitExceeded
 from repro.isa.instructions import Instruction, Opcode
@@ -237,6 +247,60 @@ def _decode_instruction(
     return step, None
 
 
+def recording_stepper(
+    instr: Instruction, quick: Stepper, seen: Callable, observe: Callable
+) -> Stepper:
+    """The ``lw``/``sw`` chain closure ``quick``, also reporting its access.
+
+    Runs ``quick`` (so the semantics stay in the one decoded closure),
+    then a load calls ``seen(address)`` and ``observe(address, value)``,
+    a store ``seen(address)`` and ``observe(address)``.  The address is
+    taken before ``quick`` runs, as a load may overwrite its base
+    register.
+    """
+    rs, imm = instr.rs, instr.imm
+    if instr.op is Opcode.LW:
+        def step(state, quick=quick, rs=rs, imm=imm, seen=seen,
+                 observe=observe):
+            address = wrap64(state.read_reg(rs) + imm)
+            quick(state)
+            seen(address)
+            observe(address, state.load(address))
+        return step
+    if instr.op is Opcode.SW:
+        def step(state, quick=quick, rs=rs, imm=imm, seen=seen,
+                 observe=observe):
+            address = wrap64(state.read_reg(rs) + imm)
+            quick(state)
+            seen(address)
+            observe(address)
+        return step
+    raise ValueError(f"{instr.op.name} is not a memory access")
+
+
+def counting_branch_stepper(pc: int, instr: Instruction, counter) -> Stepper:
+    """The chain closure of the conditional branch at ``pc``, counting it.
+
+    Bumps ``counter.taken`` or ``counter.not_taken``.  Needed only where
+    the pc after a chain cannot tell the direction: a branch whose
+    target is its own fall-through.
+    """
+    fn = _BRANCH_OPS.get(instr.op)
+    if fn is None:
+        raise ValueError(f"pc {pc}: {instr.op.name} is not a branch")
+    rs, rt, target = instr.rs, instr.rt, instr.target
+
+    def step(state, fn=fn, rs=rs, rt=rt, target=target, nxt=pc + 1,
+             counter=counter):
+        if fn(state.read_reg(rs), state.read_reg(rt)):
+            state.pc = target
+            counter.taken += 1
+        else:
+            state.pc = nxt
+            counter.not_taken += 1
+    return step
+
+
 def _decode_meta(pc: int, instr: Instruction) -> Tuple:
     """The decode-time facts baked into ``instr``'s closure.
 
@@ -268,8 +332,9 @@ class DecodedProgram:
     """
 
     __slots__ = (
-        "program", "code", "size", "steppers", "chains", "chain_halts",
-        "meta", "oracle",
+        "program", "code", "size", "steppers", "quicks", "chains",
+        "chain_halts", "chain_ends", "chain_loads", "chain_targets", "meta",
+        "oracle",
     )
 
     def __init__(self, program: Program, oracle: bool = False):
@@ -291,36 +356,69 @@ class DecodedProgram:
             quicks.append(quick if quick is not None else stepper)
             meta.append(_decode_meta(pc, instr))
         self.steppers: Tuple[Stepper, ...] = tuple(steppers)
+        self.quicks: Tuple[Stepper, ...] = tuple(quicks)
         self.meta: Tuple[Tuple, ...] = tuple(meta)
-        self.chains, self.chain_halts = self._build_chains(quicks)
+        self._build_chains()
 
-    def _build_chains(
-        self, quicks: List[Stepper]
-    ) -> Tuple[Tuple[Tuple[Stepper, ...], ...], Tuple[bool, ...]]:
+    def _build_chains(self) -> None:
         """Per-pc straight-line closure runs ending at block terminators.
 
         ``chains[pc]`` executes pc through the first terminator at or
-        after it (or the end of the text); ``chain_halts[pc]`` marks
-        chains whose terminator is ``halt``.  Entry at any pc is legal —
-        chains are suffixes, so branch targets into block middles get
-        their own (shorter) run.
+        after it (or the end of the text), which is ``chain_ends[pc] - 1``;
+        ``chain_halts[pc]`` marks chains whose terminator is ``halt`` and
+        ``chain_loads[pc]`` counts the chain's ``lw`` instructions.
+        ``chain_targets[pc]`` is the target of the conditional branch
+        ending the chain — the chain took it iff the pc after the chain
+        equals it — or ``None`` where there is no such branch or the pc
+        cannot tell (a target equal to the fall-through).  Entry at any
+        pc is legal — chains are suffixes, so branch targets into block
+        middles get their own (shorter) run.
         """
         code = self.code
         size = self.size
         ends: List[int] = [0] * size  # pc -> index one past the terminator
         halts: List[bool] = [False] * size
+        loads: List[int] = [0] * size
+        targets: List[Optional[int]] = [None] * size
         end = size
         halt = False
+        target = None
         for pc in range(size - 1, -1, -1):
-            if code[pc].is_terminator:
+            instr = code[pc]
+            if instr.is_terminator:
                 end = pc + 1
-                halt = code[pc].op is Opcode.HALT
+                halt = instr.op is Opcode.HALT
+                target = instr.target if (
+                    instr.is_branch and instr.target != end
+                ) else None
             ends[pc] = end
             halts[pc] = halt
-        chains = tuple(
-            tuple(quicks[pc:ends[pc]]) for pc in range(size)
-        )
-        return chains, tuple(halts)
+            targets[pc] = target
+            loads[pc] = (instr.op is Opcode.LW) + (
+                loads[pc + 1] if pc + 1 < end else 0
+            )
+        self.chain_ends: Tuple[int, ...] = tuple(ends)
+        self.chain_halts: Tuple[bool, ...] = tuple(halts)
+        self.chain_loads: Tuple[int, ...] = tuple(loads)
+        self.chain_targets: Tuple[Optional[int], ...] = tuple(targets)
+        self.chains = self.chains_with({})
+
+    def chains_with(
+        self, hooks: Mapping[int, Stepper]
+    ) -> Tuple[Tuple[Stepper, ...], ...]:
+        """Superstep chains with the closure at each pc of ``hooks`` replaced.
+
+        The replacements must keep the instruction's semantics (the
+        profiler's recording closures do); chain spans stay those of
+        :attr:`chain_ends`.
+        """
+        quicks = self.quicks
+        if hooks:
+            quicks = list(quicks)
+            for pc, fn in hooks.items():
+                quicks[pc] = fn
+        ends = self.chain_ends
+        return tuple(tuple(quicks[pc:ends[pc]]) for pc in range(self.size))
 
     # -- stepping -----------------------------------------------------------
 
@@ -344,40 +442,78 @@ class DecodedProgram:
         :class:`~repro.errors.StepLimitExceeded` raises exactly when the
         ``max_steps``-th non-halt instruction retires.  With no observer
         attached, whole basic blocks execute as supersteps without
-        per-step pc checks or effect allocation.
+        per-step pc checks or effect allocation (:func:`last_chain` keeps
+        the budget exact); that loop is :meth:`count_loads`'s.
         """
         if observer is not None:
-            return self._step_loop(state, 0, max_steps, observer)
+            return self._step_loop(state, max_steps, observer)
+        steps, halted, _loads = self.count_loads(state, max_steps)
+        return steps, halted
+
+    def count_loads(
+        self, state: MachineStateLike, max_steps: int
+    ) -> Tuple[int, bool, int]:
+        """Observer-free :meth:`run`, returning ``(steps, halted, loads)``.
+
+        Adds each executed chain's static ``lw`` count: one add per
+        chain, no measurable cost beside the chain's closure calls.
+        """
         chains = self.chains
         chain_halts = self.chain_halts
+        chain_loads = self.chain_loads
         size = self.size
-        steps = 0
+        steps = loads = 0
         while True:
             pc = state.pc
             if not 0 <= pc < size:
                 raise InvalidPcError(pc, size)
             chain = chains[pc]
-            if steps + len(chain) < max_steps:
-                for fn in chain:
+            if steps + len(chain) >= max_steps:
+                last_chain(chain, chain_halts[pc], state, steps, max_steps)
+            for fn in chain:
+                fn(state)
+            loads += chain_loads[pc]
+            if chain_halts[pc]:
+                return steps + len(chain) - 1, True, loads
+            steps += len(chain)
+
+    def advance(self, state: MachineStateLike, n: int) -> None:
+        """The paper's ``seq(S, n)`` in place: execute ``n`` instructions.
+
+        A halted state is a fixed point, so ``n`` may run past a
+        ``halt``.  Whole chains run while they fit in ``n``; the last,
+        partial one runs only its first instructions, which are never
+        terminators.
+        """
+        chains = self.chains
+        chain_halts = self.chain_halts
+        size = self.size
+        while n > 0:
+            pc = state.pc
+            if not 0 <= pc < size:
+                raise InvalidPcError(pc, size)
+            chain = chains[pc]
+            if len(chain) > n:
+                for fn in chain[:n]:
                     fn(state)
-                if chain_halts[pc]:
-                    return steps + len(chain) - 1, True
-                steps += len(chain)
-            else:
-                # Near the budget boundary: step exactly, so the limit
-                # fires at the same instruction as the reference loop.
-                return self._step_loop(state, steps, max_steps, None)
+                return
+            for fn in chain:
+                fn(state)
+            if chain_halts[pc]:
+                return
+            n -= len(chain)
 
     def _step_loop(
         self,
         state: MachineStateLike,
-        steps: int,
         max_steps: int,
         observer,
     ) -> Tuple[int, bool]:
+        """Per-step :meth:`run`, reporting every instruction to ``observer``."""
         code = self.code
         steppers = self.steppers
         size = self.size
+        steps = 0
         while True:
             pc = state.pc
             if not 0 <= pc < size:
@@ -386,14 +522,36 @@ class DecodedProgram:
             if effect.halted:
                 # Observed (profilers must see halt blocks execute) but
                 # not counted: a halted state is a fixed point.
-                if observer is not None:
-                    observer(pc, code[pc], effect, state)
+                observer(pc, code[pc], effect, state)
                 return steps, True
             steps += 1
-            if observer is not None:
-                observer(pc, code[pc], effect, state)
+            observer(pc, code[pc], effect, state)
             if steps >= max_steps:
                 raise StepLimitExceeded(max_steps)
+
+
+def last_chain(
+    chain: Tuple[Stepper, ...],
+    halts: bool,
+    state: MachineStateLike,
+    steps: int,
+    max_steps: int,
+) -> None:
+    """The step budget's boundary for a chain loop about to run ``chain``.
+
+    Called when ``steps + len(chain) >= max_steps``.  Returns (the caller
+    then runs the chain) only when the chain ends in a ``halt`` that
+    retires within the budget — a halt is executed but not counted.
+    Otherwise runs the chain's prefix up to the budget and raises
+    :class:`~repro.errors.StepLimitExceeded` after the ``max_steps``-th
+    instruction, as the reference loop does (which always executes at
+    least one instruction).
+    """
+    if halts and steps + len(chain) == max(max_steps, 1):
+        return
+    for fn in chain[:max(max_steps - steps, 1)]:
+        fn(state)
+    raise StepLimitExceeded(max_steps)
 
 
 def decode(program: Program, oracle: bool = False) -> DecodedProgram:

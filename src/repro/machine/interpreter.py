@@ -6,8 +6,12 @@
 correctness is always judged against these functions.
 
 An optional observer receives every executed instruction together with its
-:class:`~repro.machine.semantics.StepEffect`; the profiler is implemented
-as such an observer.
+:class:`~repro.machine.semantics.StepEffect`.  Observers force per-step
+execution, so no pass of the pipeline uses one outside the ``oracle``
+tier: the profiler, the load count and ``seq`` all run on the decoded
+engine's basic-block chains.  Observers serve the per-step oracles that
+tests and ``repro lint`` compare those passes against (e.g.
+:class:`~repro.profiling.profiler.Profiler`).
 
 Execution dispatches through the pre-decoded engine
 (:mod:`repro.machine.decoded`), which is differentially tested to be
@@ -29,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.errors import InvalidPcError
 from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.machine.decoded import decode
@@ -92,19 +95,13 @@ def run_to_halt(program: Program, max_steps: int = DEFAULT_STEP_LIMIT) -> RunRes
 def seq(program: Program, state: ArchState, n: int) -> ArchState:
     """The paper's ``seq(S, n)``: advance ``state`` by ``n`` instructions.
 
-    Returns a *new* state; ``state`` itself is not modified.  A halted
+    Returns a *new* state; ``state`` itself is not modified (callers that
+    own their state advance it in place with
+    :meth:`~repro.machine.decoded.DecodedProgram.advance`).  A halted
     state is a fixed point, so stepping past a ``halt`` is well-defined.
     """
     result = state.copy()
-    decoded = decode(program)
-    steppers = decoded.steppers
-    size = decoded.size
-    for _ in range(n):
-        pc = result.pc
-        if not 0 <= pc < size:
-            raise InvalidPcError(pc, size)
-        if steppers[pc](result).halted:
-            break
+    decode(program).advance(result, n)
     return result
 
 
@@ -122,15 +119,12 @@ def count_instructions_and_loads(
 
     The load count feeds memory-aware cycle accounting: machines that
     charge ``load_penalty`` extra cycles per load need the baseline's
-    load count for fair speedup denominators.
+    load count for fair speedup denominators.  Every executed chain adds
+    its static ``lw`` count; the ``oracle`` tier runs the same loop over
+    per-step :func:`~repro.machine.semantics.execute` closures.
     """
-    loads = 0
-
-    def observer(pc, instr, effect, state):
-        nonlocal loads
-        del pc, instr, state
-        if effect.mem_addr is not None and not effect.is_store:
-            loads += 1
-
-    result = run(program, max_steps=max_steps, observer=observer)
-    return result.steps, loads
+    decoded = decode(program, oracle=resolve_exec_tier() == "oracle")
+    steps, _halted, loads = decoded.count_loads(
+        ArchState.initial(program), max_steps
+    )
+    return steps, loads

@@ -179,7 +179,7 @@ from repro.errors import InvalidPcError
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import Program
 from repro.isa.registers import RA, ZERO
-from repro.machine.decoded import DecodedProgram, decode
+from repro.machine.decoded import DecodedProgram, decode, last_chain
 from repro.machine.flatmem import PAGE_BITS, PAGE_MASK, PagedMemory
 from repro.machine.semantics import _div_trunc, _mod_trunc
 from repro.machine.state import MachineStateLike, wrap64
@@ -1414,7 +1414,8 @@ class JitProgram:
         executing as compiled superblocks — the ``plain`` variants, which
         carry no arrival/stop machinery at all.  Observers deopt to the
         decoded per-step loop (exact per-step fidelity); near the budget
-        boundary the decoded engine's exact logic takes over, so
+        boundary :func:`~repro.machine.decoded.last_chain` runs the exact
+        prefix of the last chain, so
         :class:`~repro.errors.StepLimitExceeded` fires at the same
         instruction as the reference loop.  ``arch`` mode must only ever
         see an :class:`~repro.machine.state.ArchState` here, ``slave``
@@ -1422,7 +1423,7 @@ class JitProgram:
         """
         decoded = self.decoded
         if observer is not None:
-            return decoded._step_loop(state, 0, max_steps, observer)
+            return decoded._step_loop(state, max_steps, observer)
         chains = decoded.chains
         chain_halts = decoded.chain_halts
         size = self.size
@@ -1446,14 +1447,13 @@ class JitProgram:
                     return steps, True
                 continue
             chain = chains[pc]
-            if steps + len(chain) < max_steps:
-                for fn in chain:
-                    fn(state)
-                if chain_halts[pc]:
-                    return steps + len(chain) - 1, True
-                steps += len(chain)
-            else:
-                return decoded._step_loop(state, steps, max_steps, None)
+            if steps + len(chain) >= max_steps:
+                last_chain(chain, chain_halts[pc], state, steps, max_steps)
+            for fn in chain:
+                fn(state)
+            if chain_halts[pc]:
+                return steps + len(chain) - 1, True
+            steps += len(chain)
 
 
 def jit_for(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from typing import Dict
 
+from repro.errors import WorkloadError
 from repro.isa.builder import ProgramBuilder
 from repro.isa.program import Program
 from repro.workloads.base import (
@@ -31,12 +32,22 @@ from repro.workloads.base import (
 SLOT = 24
 DEST_BASE = 0x6000
 
+#: Pairs that fit below the copy buffer.  One more and the input runs
+#: into ``DEST_BASE``: ``strcpy`` then overwrites later pairs'
+#: terminators, and the compare loop never ends.
+MAX_SIZE = (DEST_BASE - INPUT_BASE) // (2 * SLOT)
+
 
 def _pair_base(pair: int) -> int:
     return INPUT_BASE + pair * 2 * SLOT
 
 
 def build_code(size: int) -> Program:
+    if size > MAX_SIZE:
+        raise WorkloadError(
+            f"stringops: size {size} overruns its input region; the "
+            f"largest legal size is {MAX_SIZE}"
+        )
     b = ProgramBuilder(name="stringops")
 
     b.label("main")

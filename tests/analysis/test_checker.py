@@ -526,6 +526,40 @@ class TestCheckDecoded:
         report = check_decoded(rich_program)
         assert "DEC003" in error_ids(report)
 
+    def test_chain_dropping_a_branch_count_is_dec004(
+        self, rich_program, rich_profile
+    ):
+        # Seeded mutation: chains ending at the first executed branch
+        # lose their taken target, so the profiler never counts it.
+        from repro.machine.decoded import decode
+
+        decoded = decode(rich_program)
+        branch = next(iter(rich_profile.branches))
+        targets = list(decoded.chain_targets)
+        for entry, end in enumerate(decoded.chain_ends):
+            if end == branch + 1:
+                targets[entry] = None
+        decoded.chain_targets = tuple(targets)
+        report = check_decoded(rich_program)
+        assert error_ids(report) == {"DEC004"}
+        assert any("profile" in f.message for f in report.errors)
+
+    def test_wrong_chain_load_count_is_dec004(self, rich_program):
+        from repro.machine.decoded import decode
+
+        decoded = decode(rich_program)
+        decoded.chain_loads = tuple(n + 1 for n in decoded.chain_loads)
+        report = check_decoded(rich_program)
+        assert error_ids(report) == {"DEC004"}
+        assert any("load count" in f.message for f in report.errors)
+
+    def test_dec004_skipped_at_zero_budget(self, rich_program):
+        from repro.machine.decoded import decode
+
+        decoded = decode(rich_program)
+        decoded.chain_loads = tuple(n + 1 for n in decoded.chain_loads)
+        assert check_decoded(rich_program, max_steps=0).ok
+
 
 # -- layer 5: the superblock JIT --------------------------------------------
 

@@ -37,6 +37,25 @@ class TestParser:
         assert args.command == argv[0]
 
 
+class TestErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "compress", "--task-size", "1"], "target_task_size"),
+            (["run", "stringops", "--size", "500"], "largest legal size"),
+            (["seq", "compress", "--size", "0"], "size must be positive"),
+        ],
+    )
+    def test_package_error_is_one_line_and_exit_2(self, capsys, argv,
+                                                  message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0

@@ -8,6 +8,7 @@ full-pipeline MSSP equivalence per workload.
 import pytest
 
 from repro.errors import WorkloadError
+from repro.experiments.harness import RUN_LIMIT
 from repro.machine import run_to_halt
 from repro.workloads import (
     RESULT_BASE,
@@ -52,6 +53,26 @@ class TestRegistry:
     def test_bad_size_rejected(self):
         with pytest.raises(WorkloadError):
             get_workload("compress").instance(0)
+
+    @pytest.mark.parametrize("multiple", [1, 2, 4])
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_every_size_is_rejected_or_halts(self, name, multiple):
+        """A size either overruns the layout (and says so) or halts."""
+        spec = get_workload(name)
+        try:
+            instance = spec.instance(spec.default_size * multiple)
+        except WorkloadError as error:
+            assert "largest legal size" in str(error)
+            return
+        assert run_to_halt(instance.program, max_steps=RUN_LIMIT).halted
+
+    def test_stringops_largest_legal_size(self):
+        spec = get_workload("stringops")
+        assert run_to_halt(
+            spec.instance(426).program, max_steps=RUN_LIMIT
+        ).halted
+        with pytest.raises(WorkloadError, match="largest legal size is 426"):
+            spec.instance(427)
 
 
 class TestFrameworkContracts:
